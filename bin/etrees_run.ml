@@ -7,7 +7,8 @@
      dune exec bin/etrees_run.exe -- response --procs 16 --total 640
      dune exec bin/etrees_run.exe -- table1 --procs 256
      dune exec bin/etrees_run.exe -- chaos --procs 64 --stall 8x2000 \
-       --fault-seed 7 *)
+       --fault-seed 7
+     dune exec bin/etrees_run.exe -- bench --quick fig7 table1 *)
 
 open Cmdliner
 module W = Workloads
@@ -146,19 +147,11 @@ let pc_cmd =
       pool.W.Pool_obj.name procs workload p.W.Produce_consume.ops
       p.W.Produce_consume.throughput_per_m p.W.Produce_consume.latency
       (W.Report.ops p.W.Produce_consume.mem);
-    match pool.W.Pool_obj.adapt_by_level with
-    | None -> ()
-    | Some f ->
-        let fmt_level level =
-          String.concat ","
-            (List.map
-               (fun (spin, widths) ->
-                 Printf.sprintf "%d:[%s]" spin
-                   (String.concat ";" (List.map string_of_int widths)))
-               level)
-        in
+    Option.iter
+      (fun f ->
         Printf.printf "adapted spin:[widths] by depth: %s\n"
-          (String.concat " | " (List.map fmt_level (f ())))
+          (W.Adapt_sweep.format_levels (f ())))
+      pool.W.Pool_obj.adapt_by_level
   in
   Cmd.v
     (Cmd.info "pc" ~doc:"Produce-consume benchmark (Figures 7/8).")
@@ -300,15 +293,9 @@ let chaos_cmd =
       Printf.printf
         "chaos ladder: procs=%d seed=%d horizon=%d fault-seed=%d\n\n" procs
         seed horizon fault_seed;
-      List.iter
-        (fun (level, label, points) ->
-          Printf.printf "-- fault level %d (%s) --\n" level label;
-          (match points with
-          | p :: _ -> Printf.printf "plan: %s\n" p.W.Chaos.plan
-          | [] -> ());
-          List.iter (fun p -> print_endline (W.Chaos.format_point p)) points;
-          print_newline ())
-        (W.Chaos.sweep ~seed ~fault_seed ~horizon ~methods ~procs ())
+      print_string
+        (W.Chaos.format_ladder
+           (W.Chaos.sweep ~seed ~fault_seed ~horizon ~methods ~procs ()))
     end
     else begin
       Printf.printf "chaos: procs=%d seed=%d horizon=%d\nplan: %s\n\n" procs
@@ -444,21 +431,31 @@ let service_cmd =
 
 (* trace: deterministic tracing, cycle attribution, Perfetto export
    (etrees.trace) *)
-let trace_cmd =
-  let level_conv =
-    let parse s =
-      match Etrace.Level.of_string s with
-      | Some l -> Ok l
-      | None ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown trace level %S (expected one of: %s)" s
-                 (String.concat ", "
-                    (List.map Etrace.Level.to_string Etrace.Level.all))))
-    in
-    Arg.conv
-      (parse, fun fmt l -> Format.pp_print_string fmt (Etrace.Level.to_string l))
+let level_conv =
+  let parse s =
+    match Etrace.Level.of_string s with
+    | Some l -> Ok l
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown trace level %S (expected one of: %s)" s
+               (String.concat ", "
+                  (List.map Etrace.Level.to_string Etrace.Level.all))))
   in
+  Arg.conv
+    (parse, fun fmt l -> Format.pp_print_string fmt (Etrace.Level.to_string l))
+
+(* Write a Chrome trace and re-read it through the validator: a file
+   that fails validation is a hard error (exit 1). *)
+let write_chrome ~cmd ~file c =
+  Etrace.Chrome.write ~file c;
+  match Etrace.Chrome.validate_file file with
+  | Ok st -> st
+  | Error e ->
+      Printf.eprintf "%s: %s fails trace validation: %s\n" cmd file e;
+      exit 1
+
+let trace_cmd =
   let out_t =
     Arg.(
       value
@@ -484,8 +481,9 @@ let trace_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Validate the written trace file (phases, timestamp presence, \
-             per-track monotonicity); exit nonzero on failure.")
+            "Report the validation of the written trace file (phases, \
+             timestamp presence, per-track monotonicity).  The file is \
+             validated whenever it is written; a failure exits 1.")
   in
   let workload_t =
     Arg.(
@@ -519,18 +517,12 @@ let trace_cmd =
     end;
     match (tr.W.Traced.chrome, out) with
     | Some c, Some file ->
-        Etrace.Chrome.write ~file c;
+        let st = write_chrome ~cmd:"trace" ~file c in
         Printf.printf "wrote %s (level %s)\n" file
           (Etrace.Level.to_string level);
-        if check then begin
-          match Etrace.Chrome.validate_file file with
-          | Ok st ->
-              Printf.printf "validated: %d events on %d tracks\n"
-                st.Etrace.Chrome.events st.Etrace.Chrome.tracks
-          | Error e ->
-              Printf.eprintf "trace: %s fails validation: %s\n" file e;
-              exit 1
-        end
+        if check then
+          Printf.printf "validated: %d events on %d tracks\n"
+            st.Etrace.Chrome.events st.Etrace.Chrome.tracks
     | _ ->
         if check then begin
           Printf.eprintf "trace: --check requires --trace-out FILE\n";
@@ -647,7 +639,7 @@ let check_cmd =
               (Etrace.Chrome.on_event c)
               (fun () -> Ex.replay ~seed ~max_steps program sched)
           in
-          Etrace.Chrome.write ~file c;
+          ignore (write_chrome ~cmd:"check" ~file c : Etrace.Chrome.stats);
           Printf.printf "wrote counterexample trace to %s\n" file;
           r
     in
@@ -1103,22 +1095,243 @@ let perf_cmd =
           gate regressions, render trends and the committed baseline.")
     [ append_cmd; check_cmd; page_cmd; baseline_cmd ]
 
+(* bench: the paper's evaluation through the experiment registry
+   (Workloads.Experiment).  The runner owns stdout, the meta probe and
+   "# host" line, the BENCH_<exp>.json files, the Chrome trace, and the
+   exit 1 on any verdict failure. *)
+
+(* Bechamel single-domain op costs of the native structures; host-timed,
+   so registered here rather than in the simulator-only registry. *)
+let native_experiment =
+  let run _scale =
+    let open Bechamel in
+    let open Toolkit in
+    Engine.Native.set_capacity 64;
+    let elim_stack = Native.Elim_stack.create ~capacity:64 ~width:4 () in
+    let elim_pool = Native.Elim_pool.create ~capacity:64 ~width:4 () in
+    let local =
+      Native.Local_pool.create ~discipline:`Lifo ~lock_capacity:64 ()
+    in
+    let counter () =
+      Native.Mcs_counter.as_counter (Native.Mcs_counter.create ~capacity:64 ())
+    in
+    let central =
+      Native.Central_pool.create ~size:4096 ~head:(counter ())
+        ~tail:(counter ()) ()
+    in
+    let idc = Native.Inc_dec_counter.create ~capacity:64 ~width:4 () in
+    let test name f = Test.make ~name (Staged.stage f) in
+    let tests =
+      [
+        test "elim_stack push+pop" (fun () ->
+            Native.Elim_stack.push elim_stack 1;
+            ignore (Native.Elim_stack.pop elim_stack));
+        test "elim_pool enq+deq" (fun () ->
+            Native.Elim_pool.enqueue elim_pool 1;
+            ignore (Native.Elim_pool.dequeue elim_pool));
+        test "locked local pool enq+deq" (fun () ->
+            Native.Local_pool.enqueue local 1;
+            ignore (Native.Local_pool.try_dequeue local));
+        test "central pool (MCS) enq+deq" (fun () ->
+            Native.Central_pool.enqueue central 1;
+            ignore (Native.Central_pool.dequeue central));
+        test "inc_dec_counter inc" (fun () ->
+            ignore (Native.Inc_dec_counter.increment idc));
+      ]
+    in
+    let ols =
+      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+    in
+    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+    let raw =
+      Benchmark.all cfg
+        Instance.[ monotonic_clock ]
+        (Test.make_grouped ~name:"native" tests)
+    in
+    let rows =
+      Hashtbl.fold
+        (fun name ols rows ->
+          let est =
+            match Analyze.OLS.estimates ols with
+            | Some (t :: _) -> Printf.sprintf "%.0f" t
+            | _ -> "n/a"
+          in
+          (name, [ est ]) :: rows)
+        (Analyze.all ols Instance.monotonic_clock raw)
+        []
+    in
+    {
+      W.Experiment.text =
+        "== Native micro-benchmarks (single-domain op cost) ==\n\n"
+        ^ W.Report.table ~title:"Single-domain operation cost"
+            ~row_label:"operation" ~columns:[ "ns/op" ]
+            (List.sort compare rows)
+        ^ "\n";
+      points = None;
+      extra = [];
+      failures = [];
+      chrome = None;
+    }
+  in
+  { W.Experiment.name = "native"; run }
+
+let bench_cmd =
+  let module X = W.Experiment in
+  let module Meta = W.Report.Meta in
+  let module J = Etrace.Json in
+  let experiments = X.all @ [ native_experiment ] in
+  let names = List.map (fun (e : X.t) -> e.X.name) experiments in
+  let scale_t =
+    Arg.(
+      value
+      & vflag X.default_scale
+          [
+            ( X.quick_scale,
+              info [ "quick" ] ~doc:"Reduced scale (4-256 procs, 50k cycles)." );
+            ( X.full_scale,
+              info [ "full" ] ~doc:"The paper's 10^6-cycle runs." );
+          ])
+  in
+  let horizon_t =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "horizon" ] ~docv:"N"
+          ~doc:"Override the scale's simulated cycles per run.")
+  in
+  let json_t =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:
+            "Also write $(b,BENCH_<exp>.json) (points plus a meta block) for \
+             each experiment that reports points.")
+  in
+  let trace_t =
+    Arg.(
+      value & flag
+      & info [ "trace" ]
+          ~doc:
+            "Add fig7's cycle-attributed run of the elimination tree at the \
+             largest processor count (docs/TRACING.md).")
+  in
+  let trace_out_t =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Implies $(b,--trace); also write that run's Chrome trace-event \
+             JSON to $(docv) and validate it.")
+  in
+  let trace_level_t =
+    Arg.(
+      value
+      & opt level_conv Etrace.Level.Events
+      & info [ "trace-level" ] ~docv:"LEVEL"
+          ~doc:"Detail rendered into the $(b,--trace-out) timeline.")
+  in
+  let exps_t =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) ("all" :: names))) []
+      & info [] ~docv:"EXP"
+          ~doc:
+            (Printf.sprintf "Experiments to run (default all): %s."
+               (String.concat ", " ("all" :: names))))
+  in
+  let run scale horizon json trace trace_out trace_level picked =
+    let total_probe = Meta.start () in
+    let scale =
+      {
+        scale with
+        X.horizon = Option.value horizon ~default:scale.X.horizon;
+        traced = trace || trace_out <> None;
+        chrome_level = Option.map (fun _ -> trace_level) trace_out;
+      }
+    in
+    let want (e : X.t) =
+      picked = [] || List.mem "all" picked || List.mem e.X.name picked
+    in
+    X.progress "scale: horizon=%d cycles, procs=%s" scale.X.horizon
+      (String.concat "," (List.map string_of_int scale.X.counts));
+    (* Workload runs use the library default seed, recorded in each
+       meta block so DB rows are comparable. *)
+    let seed = 1 in
+    let failures =
+      List.concat_map
+        (fun (e : X.t) ->
+          if not (want e) then []
+          else begin
+            let probe = Meta.start () in
+            let o = e.X.run scale in
+            print_string o.X.text;
+            (match (o.X.chrome, trace_out) with
+            | Some c, Some file ->
+                let st = write_chrome ~cmd:"bench" ~file c in
+                X.progress "wrote %s (%d events, %d tracks)" file
+                  st.Etrace.Chrome.events st.Etrace.Chrome.tracks
+            | _ -> ());
+            Option.iter
+              (fun points ->
+                let meta = Meta.stop probe ~experiment:e.X.name ~seed in
+                X.progress "%s" (Meta.host_line meta);
+                if json then begin
+                  let file = Printf.sprintf "BENCH_%s.json" e.X.name in
+                  J.to_file ~file
+                    (J.Obj
+                       ([
+                          ("experiment", J.Str e.X.name);
+                          ("meta", Meta.json meta);
+                          ("points", J.Arr points);
+                        ]
+                       @ o.X.extra));
+                  X.progress "wrote %s" file
+                end)
+              o.X.points;
+            List.iter (Printf.eprintf "bench: FAIL %s\n%!") o.X.failures;
+            o.X.failures
+          end)
+        experiments
+    in
+    X.progress "%s"
+      (Meta.host_line (Meta.stop total_probe ~experiment:"all" ~seed));
+    if failures <> [] then begin
+      Printf.eprintf "bench: %d verdict failure(s):\n" (List.length failures);
+      List.iter (Printf.eprintf "  %s\n") failures;
+      exit 1
+    end
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's tables and figures (and the extensions) on \
+          the simulator, plus native micro-benchmarks; see DESIGN.md §3 and \
+          EXPERIMENTS.md.  Exits 1 on any verdict failure.")
+    Term.(
+      const run $ scale_t $ horizon_t $ json_t $ trace_t $ trace_out_t
+      $ trace_level_t $ exps_t)
+
 let () =
   let doc = "Elimination-tree experiments on the multiprocessor simulator." in
   let info = Cmd.info "etrees_run" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            pc_cmd;
-            count_cmd;
-            queens_cmd;
-            response_cmd;
-            table1_cmd;
-            chaos_cmd;
-            service_cmd;
-            trace_cmd;
-            check_cmd;
-            netverify_cmd;
-            perf_cmd;
-          ]))
+  (* Usage errors exit 2, like the other tools. *)
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           bench_cmd;
+           pc_cmd;
+           count_cmd;
+           queens_cmd;
+           response_cmd;
+           table1_cmd;
+           chaos_cmd;
+           service_cmd;
+           trace_cmd;
+           check_cmd;
+           netverify_cmd;
+           perf_cmd;
+         ])
+  in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

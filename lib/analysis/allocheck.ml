@@ -704,94 +704,86 @@ let print_budget (v : verdict) =
 (* Census JSON (CI artifact)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let kind_histogram sites =
-  let count k = List.length (List.filter (fun s -> s.s_kind = k) sites) in
-  List.filter_map
-    (fun k ->
-      let n = count k in
-      if n = 0 then None
-      else Some (Printf.sprintf {|"%s":%d|} (kind_name k) n))
-    all_kinds
-  |> String.concat ","
-
 let census_json (c : census) ~(verdict : verdict) ~roots =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{";
-  add {|"roots":[%s],|}
-    (String.concat "," (List.map (fun r -> "\"" ^ json_escape r ^ "\"") roots));
-  add {|"modules":{|};
-  List.iteri
-    (fun i m ->
-      let fns = List.filter (fun f -> f.f_module = m) c.c_fns in
-      let sites = List.concat_map (fun f -> f.f_sites) fns in
-      add {|%s"%s":{"functions":%d,"sites":%d,"kinds":{%s}}|}
-        (if i = 0 then "" else ",")
-        (json_escape m) (List.length fns) (List.length sites)
-        (kind_histogram sites))
-    c.c_modules;
-  add "},";
-  let all_sites = List.concat_map (fun f -> f.f_sites) c.c_fns in
-  add {|"kinds":{%s},|} (kind_histogram all_sites);
-  add {|"hot":{"functions":%d,"sites":%d,"kinds":{%s},"per_function":{|}
-    (List.length verdict.hot_fns)
-    (List.length verdict.hot_sites)
-    (kind_histogram verdict.hot_sites);
+  let module J = Etrace.Json in
+  let kinds sites =
+    J.Obj
+      (List.filter_map
+         (fun k ->
+           match List.length (List.filter (fun s -> s.s_kind = k) sites) with
+           | 0 -> None
+           | n -> Some (kind_name k, J.Int n))
+         all_kinds)
+  in
+  let strs l = J.Arr (List.map (fun s -> J.Str s) l) in
   let hot_groups = group_counts verdict.hot_sites in
   let fns_with_sites =
     List.sort_uniq compare (List.map (fun (f, _, _) -> f) hot_groups)
   in
-  List.iteri
-    (fun i fn ->
-      let kinds =
-        List.filter_map
-          (fun (f, k, n) ->
-            if f = fn then
-              Some (Printf.sprintf {|"%s":%d|} (kind_name k) n)
-            else None)
-          hot_groups
-      in
-      add {|%s"%s":{%s}|}
-        (if i = 0 then "" else ",")
-        (json_escape fn) (String.concat "," kinds))
-    fns_with_sites;
-  add "}},";
-  add {|"budget":{"violations":[%s],"stale":[%s]}|}
-    (String.concat ","
-       (List.map
-          (fun v ->
-            Printf.sprintf
-              {|{"file":"%s","line":%d,"col":%d,"kind":"alloc-%s","fn":"%s","found":%d,"budget":%d,"chain":[%s]}|}
-              (json_escape v.v_site.s_file)
-              v.v_site.s_line v.v_site.s_col
-              (kind_name v.v_site.s_kind)
-              (json_escape v.v_site.s_fn)
-              v.v_found v.v_budget
-              (String.concat ","
-                 (List.map
-                    (fun f -> "\"" ^ json_escape f ^ "\"")
-                    v.v_chain)))
-          verdict.violations))
-    (String.concat ","
-       (List.map
-          (fun (e : budget_entry) ->
-            Printf.sprintf {|{"fn":"%s","kind":"alloc-%s","budget":%d}|}
-              (json_escape e.b_fn) (kind_name e.b_kind) e.b_count)
-          verdict.stale));
-  add "}\n";
-  Buffer.contents b
+  let violation v =
+    J.Obj
+      [
+        ("file", J.Str v.v_site.s_file);
+        ("line", J.Int v.v_site.s_line);
+        ("col", J.Int v.v_site.s_col);
+        ("kind", J.Str ("alloc-" ^ kind_name v.v_site.s_kind));
+        ("fn", J.Str v.v_site.s_fn);
+        ("found", J.Int v.v_found);
+        ("budget", J.Int v.v_budget);
+        ("chain", strs v.v_chain);
+      ]
+  in
+  let stale (e : budget_entry) =
+    J.Obj
+      [
+        ("fn", J.Str e.b_fn);
+        ("kind", J.Str ("alloc-" ^ kind_name e.b_kind));
+        ("budget", J.Int e.b_count);
+      ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("roots", strs roots);
+         ( "modules",
+           J.Obj
+             (List.map
+                (fun m ->
+                  let fns = List.filter (fun f -> f.f_module = m) c.c_fns in
+                  let sites = List.concat_map (fun f -> f.f_sites) fns in
+                  ( m,
+                    J.Obj
+                      [
+                        ("functions", J.Int (List.length fns));
+                        ("sites", J.Int (List.length sites));
+                        ("kinds", kinds sites);
+                      ] ))
+                c.c_modules) );
+         ("kinds", kinds (List.concat_map (fun f -> f.f_sites) c.c_fns));
+         ( "hot",
+           J.Obj
+             [
+               ("functions", J.Int (List.length verdict.hot_fns));
+               ("sites", J.Int (List.length verdict.hot_sites));
+               ("kinds", kinds verdict.hot_sites);
+               ( "per_function",
+                 J.Obj
+                   (List.map
+                      (fun fn ->
+                        ( fn,
+                          J.Obj
+                            (List.filter_map
+                               (fun (f, k, n) ->
+                                 if f = fn then Some (kind_name k, J.Int n)
+                                 else None)
+                               hot_groups) ))
+                      fns_with_sites) );
+             ] );
+         ( "budget",
+           J.Obj
+             [
+               ("violations", J.Arr (List.map violation verdict.violations));
+               ("stale", J.Arr (List.map stale verdict.stale));
+             ] );
+       ])
+  ^ "\n"

@@ -311,44 +311,28 @@ let format_violation v =
 let report violations =
   String.concat "" (List.map (fun v -> format_violation v ^ "\n") violations)
 
-(* Machine-readable report (CI artifact): hand-rolled JSON, since the
-   analysis library deliberately has no serialization dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let violation_json v =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
-    (json_escape v.file) v.line v.col (rule_name v.rule)
-    (json_escape v.message)
-
-let allow_json (a : allow) =
-  Printf.sprintf {|{"path":"%s","rule":"%s"}|} (json_escape a.path)
-    (rule_name a.allowed)
-
+(* Machine-readable report (CI artifact). *)
 let report_json ~files ~kept ~suppressed ~unused =
-  let array xs = "[" ^ String.concat "," xs ^ "]" in
-  String.concat ""
-    [
-      "{\"files\":";
-      string_of_int files;
-      ",\"violations\":";
-      array (List.map violation_json kept);
-      ",\"allowlisted\":";
-      string_of_int (List.length suppressed);
-      ",\"stale_allowlist\":";
-      array (List.map allow_json unused);
-      "}\n";
-    ]
+  let module J = Etrace.Json in
+  let violation v =
+    J.Obj
+      [
+        ("file", J.Str v.file);
+        ("line", J.Int v.line);
+        ("col", J.Int v.col);
+        ("rule", J.Str (rule_name v.rule));
+        ("message", J.Str v.message);
+      ]
+  in
+  let allow (a : allow) =
+    J.Obj [ ("path", J.Str a.path); ("rule", J.Str (rule_name a.allowed)) ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("files", J.Int files);
+         ("violations", J.Arr (List.map violation kept));
+         ("allowlisted", J.Int (List.length suppressed));
+         ("stale_allowlist", J.Arr (List.map allow unused));
+       ])
+  ^ "\n"

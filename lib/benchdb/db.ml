@@ -15,66 +15,6 @@ type run = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Serializing Json.value back out (the reader in lib/trace has no
-   writer; emission here mirrors Report's escaping rules).             *)
-(* ------------------------------------------------------------------ *)
-
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else if Float.is_finite f then Printf.sprintf "%.12g" f
-  else "null"
-
-let rec add_value buf = function
-  | J.Null -> Buffer.add_string buf "null"
-  | J.Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | J.Num f -> Buffer.add_string buf (number_to_string f)
-  | J.Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape_string s);
-      Buffer.add_char buf '"'
-  | J.Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ", ";
-          add_value buf item)
-        items;
-      Buffer.add_char buf ']'
-  | J.Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape_string k);
-          Buffer.add_string buf "\": ";
-          add_value buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let value_to_string v =
-  let buf = Buffer.create 256 in
-  add_value buf v;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* The meta schema (Report.Meta's json, re-checked on the read side)   *)
 (* ------------------------------------------------------------------ *)
 
@@ -133,12 +73,12 @@ let of_bench_json ~exp v =
   | _, None, _ -> Error "no points array"
 
 let run_to_line r =
-  value_to_string
+  J.to_string
     (J.Obj
        [
          ("exp", J.Str r.exp);
          ("reference", J.Bool r.reference);
-         ("points", J.Num (float_of_int r.points));
+         ("points", J.Int r.points);
          ("meta", r.meta);
        ])
 

@@ -11,10 +11,6 @@ type run = {
   meta : Etrace.Json.value;  (** the meta object, schema-checked *)
 }
 
-val value_to_string : Etrace.Json.value -> string
-(** Compact single-line serialization of a parsed JSON value
-    (the reader in [lib/trace] has no writer). *)
-
 val validate_meta : Etrace.Json.value -> (unit, string) result
 (** The meta schema every [BENCH_<exp>.json] must satisfy: the
     [Report.Meta] fields, present and correctly typed. *)

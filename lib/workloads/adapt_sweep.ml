@@ -90,6 +90,44 @@ let sweep ?seed ?horizon ?(workloads = default_workloads) ~procs specs =
         workloads)
     specs
 
+(* Reactive state by depth, "spin:[w;w]" per balancer. *)
+let format_levels levels =
+  let fmt_level level =
+    String.concat ","
+      (List.map
+         (fun (spin, widths) ->
+           Printf.sprintf "%d:[%s]" spin
+             (String.concat ";" (List.map string_of_int widths)))
+         level)
+  in
+  String.concat " | " (List.map fmt_level levels)
+
+(* One BENCH_adapt.json point. *)
+let point_json p =
+  let module J = Etrace.Json in
+  let balancer (spin, widths) =
+    J.Obj
+      [
+        ("spin", J.Int spin); ("widths", J.Arr (List.map (fun w -> J.Int w) widths));
+      ]
+  in
+  J.Obj
+    [
+      ("method", J.Str p.method_name);
+      ("reactive", J.Bool p.reactive);
+      ("workload", J.Int p.workload);
+      ("procs", J.Int p.procs);
+      ("throughput_per_m", J.Int p.throughput_per_m);
+      ("latency", J.Float p.latency);
+      ("latency_hist", Report.histogram_json p.lat);
+      ("elim_rate", J.opt (fun r -> J.Float r) p.elim_rate);
+      ( "final_adapt",
+        J.opt
+          (fun levels ->
+            J.Arr (List.map (fun l -> J.Arr (List.map balancer l)) levels))
+          p.final_adapt );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Shape predicates (shared by the bench text report and the           *)
 (* regression test over BENCH_adapt.json)                              *)

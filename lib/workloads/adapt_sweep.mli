@@ -1,7 +1,7 @@
 (** A1 — the adaptive crossover (docs/ADAPTIVE.md): produce-consume at
     a fixed processor count across think-time workloads, hand-tuned
     static spin schedules versus the reactive controller.  Emitted as
-    BENCH_adapt.json by [bench/main.exe adapt] and shape-checked by
+    BENCH_adapt.json by [etrees_run bench adapt] and shape-checked by
     test/test_bench_shapes.ml. *)
 
 type point = {
@@ -51,6 +51,13 @@ val sweep :
   method_spec list ->
   point list list
 (** One inner list per method, across the workload axis. *)
+
+val format_levels : (int * int list) list list -> string
+(** Reactive state by depth as ["spin:[w;w],... | ..."], one
+    [(spin, widths)] pair per balancer. *)
+
+val point_json : point -> Etrace.Json.value
+(** One point of the [BENCH_adapt.json] report. *)
 
 (** {2 Shape predicates} (shared with the regression test) *)
 

@@ -180,6 +180,47 @@ let format_point p =
     p.crashed p.stuck races p.conservation.Analysis.Conservation.detail
     (Faults.Termination.format p.termination)
 
+(* The degradation ladder as text: per level, its plan and one
+   [format_point] line per method. *)
+let format_ladder levels =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (level, label, points) ->
+      Printf.bprintf buf "-- fault level %d (%s) --\n" level label;
+      (match points with
+      | p :: _ -> Printf.bprintf buf "plan: %s\n" p.plan
+      | [] -> ());
+      List.iter (fun p -> Printf.bprintf buf "%s\n" (format_point p)) points;
+      Buffer.add_char buf '\n')
+    levels;
+  Buffer.contents buf
+
+(* One BENCH_chaos.json point, tagged with its ladder level. *)
+let point_json ~level ~label p =
+  let module J = Etrace.Json in
+  J.Obj
+    ([
+       ("method", J.Str p.method_name);
+       ("procs", J.Int p.procs);
+       ("fault_level", J.Int level);
+       ("fault_label", J.Str label);
+       ("plan", J.Str p.plan);
+       ("throughput_per_m", J.Int p.throughput_per_m);
+       ("latency", J.Float p.latency);
+       ("ops", J.Int p.ops);
+       ("started", J.Int p.started);
+       ("elim_rate", J.opt (fun r -> J.Float r) p.elim_rate);
+       ("races", J.opt (fun n -> J.Int n) p.races);
+       ("starved", J.Int p.starved);
+       ("crashed", J.Int p.crashed);
+       ("stuck", J.Int p.stuck);
+       ("conservation_ok", J.Bool p.conservation.Analysis.Conservation.ok);
+       ("conservation", J.Str p.conservation.Analysis.Conservation.detail);
+       ("termination_ok", J.Bool p.termination.Faults.Termination.ok);
+       ("termination", J.Str (Faults.Termination.format p.termination));
+     ]
+    @ Report.stats_fields p.mem)
+
 let resolve name =
   match Methods.pool_method name with
   | Some make -> make

@@ -64,3 +64,12 @@ val sweep :
 val format_point : point -> string
 (** Stable one-line rendering; the determinism regression test compares
     these byte-for-byte. *)
+
+val format_ladder : (int * string * point list) list -> string
+(** The {!sweep} ladder as text: per level a header, its plan and one
+    {!format_point} line per method, each block followed by a blank
+    line. *)
+
+val point_json : level:int -> label:string -> point -> Etrace.Json.value
+(** One point of the [BENCH_chaos.json] report, tagged with its ladder
+    level and label. *)

@@ -38,3 +38,14 @@ let run ?(seed = 1) ?(horizon = 200_000) ~procs
 
 let sweep ?seed ?horizon ~proc_counts make =
   List.map (fun procs -> run ?seed ?horizon ~procs make) proc_counts
+
+(* One BENCH_fig9.json point. *)
+let point_json ~method_name p =
+  let module J = Etrace.Json in
+  J.Obj
+    ([
+       ("method", J.Str method_name);
+       ("procs", J.Int p.procs);
+       ("throughput_per_m", J.Int p.throughput_per_m);
+     ]
+    @ Report.stats_fields p.mem)

@@ -22,3 +22,6 @@ val sweep :
   proc_counts:int list ->
   (procs:int -> Pool_obj.counter) ->
   point list
+
+val point_json : method_name:string -> point -> Etrace.Json.value
+(** One point of the [BENCH_fig9.json] report. *)

@@ -94,3 +94,20 @@ let sweep ?seed ?horizon ?config ?races ~workload ~proc_counts make =
   List.map
     (fun procs -> run ?seed ?horizon ?config ?races ~workload ~procs make)
     proc_counts
+
+(* One BENCH_fig7/fig8.json point. *)
+let point_json ~method_name ~workload p =
+  let module J = Etrace.Json in
+  J.Obj
+    ([
+       ("method", J.Str method_name);
+       ("workload", J.Int workload);
+       ("procs", J.Int p.procs);
+       ("throughput_per_m", J.Int p.throughput_per_m);
+       ("latency", J.Float p.latency);
+       ("latency_hist", Report.histogram_json p.lat);
+       ("ops", J.Int p.ops);
+       ("elim_rate", J.opt (fun r -> J.Float r) p.elim_rate);
+       ("races", J.opt (fun n -> J.Int n) p.races);
+     ]
+    @ Report.stats_fields p.mem)

@@ -41,3 +41,7 @@ val sweep :
   proc_counts:int list ->
   (procs:int -> int Pool_obj.pool) ->
   point list
+
+val point_json :
+  method_name:string -> workload:int -> point -> Etrace.Json.value
+(** One point of the [BENCH_fig7.json]/[BENCH_fig8.json] reports. *)

@@ -54,3 +54,15 @@ let run ?(seed = 1) ~procs (make : procs:int -> int Pool_obj.pool) =
 
 let sweep ?seed ~proc_counts make =
   List.map (fun procs -> run ?seed ~procs make) proc_counts
+
+(* One queens point of BENCH_fig10.json. *)
+let point_json ~method_name p =
+  let module J = Etrace.Json in
+  J.Obj
+    [
+      ("kind", J.Str "queens");
+      ("method", J.Str method_name);
+      ("procs", J.Int p.procs);
+      ("elapsed", J.Int p.elapsed);
+      ("consumed", J.Int p.consumed);
+    ]

@@ -17,3 +17,6 @@ val sweep :
   proc_counts:int list ->
   (procs:int -> int Pool_obj.pool) ->
   point list
+
+val point_json : method_name:string -> point -> Etrace.Json.value
+(** One ["kind": "queens"] point of the [BENCH_fig10.json] report. *)

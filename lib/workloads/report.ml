@@ -53,89 +53,35 @@ let float2 x = Printf.sprintf "%.2f" x
 let percent x = Printf.sprintf "%.1f%%" (100.0 *. x)
 let int_ x = string_of_int x
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emitter (no JSON library in the image)                 *)
-(* ------------------------------------------------------------------ *)
+module J = Etrace.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let rec add_json buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      (* Infinities and NaN are not JSON numbers. *)
-      if Float.is_finite f then
-        Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape_string s);
-      Buffer.add_char buf '"'
-  | Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ", ";
-          add_json buf item)
-        items;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape_string k);
-          Buffer.add_string buf "\": ";
-          add_json buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let json_to_string j =
-  let buf = Buffer.create 1024 in
-  add_json buf j;
-  Buffer.contents buf
-
-let opt f = function None -> Null | Some v -> f v
+(* The engine-level counters of a run, as JSON point fields. *)
+let stats_fields (s : Sim.stats) =
+  [
+    ("reads", J.Int s.Sim.reads);
+    ("writes", J.Int s.Sim.writes);
+    ("rmws", J.Int s.Sim.rmws);
+    ("events", J.Int s.Sim.events_fired);
+    ("end_clock", J.Int s.Sim.end_clock);
+    ("crashed_procs", J.Int s.Sim.crashed_procs);
+    ("fault_defers", J.Int s.Sim.fault_defers);
+    ("queue_wait_cycles", J.Int s.Sim.queue_wait_cycles);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace-derived reporting                                             *)
 (* ------------------------------------------------------------------ *)
 
 let histogram_json (h : Etrace.Histogram.summary) =
-  Obj
+  J.Obj
     [
-      ("count", Int h.Etrace.Histogram.count);
-      ("mean", Float h.Etrace.Histogram.mean);
-      ("p50", Int h.Etrace.Histogram.p50);
-      ("p90", Int h.Etrace.Histogram.p90);
-      ("p99", Int h.Etrace.Histogram.p99);
-      ("min", Int h.Etrace.Histogram.min);
-      ("max", Int h.Etrace.Histogram.max);
+      ("count", J.Int h.Etrace.Histogram.count);
+      ("mean", J.Float h.Etrace.Histogram.mean);
+      ("p50", J.Int h.Etrace.Histogram.p50);
+      ("p90", J.Int h.Etrace.Histogram.p90);
+      ("p99", J.Int h.Etrace.Histogram.p99);
+      ("min", J.Int h.Etrace.Histogram.min);
+      ("max", J.Int h.Etrace.Histogram.max);
     ]
 
 (* The flamegraph-style cycle-attribution table: one row per tree
@@ -171,40 +117,32 @@ let attribution_json (s : Etrace.Attribution.summary) =
   let module A = Etrace.Attribution in
   let cats (cycles : int array) =
     List.map
-      (fun cat -> (A.category_name cat, Int cycles.(A.cat_index cat)))
+      (fun cat -> (A.category_name cat, J.Int cycles.(A.cat_index cat)))
       A.categories
   in
-  Obj
+  J.Obj
     [
-      ("procs", Int s.A.procs);
-      ("total_cycles", Int s.A.total_cycles);
-      ("attributed_cycles", Int s.A.attributed_cycles);
+      ("procs", J.Int s.A.procs);
+      ("total_cycles", J.Int s.A.total_cycles);
+      ("attributed_cycles", J.Int s.A.attributed_cycles);
       ( "by_category",
-        Obj (List.map (fun (cat, c) -> (A.category_name cat, Int c)) s.A.by_category) );
+        J.Obj (List.map (fun (cat, c) -> (A.category_name cat, J.Int c)) s.A.by_category) );
       ( "by_layer",
-        Arr
+        J.Arr
           (List.map
              (fun (r : A.row) ->
-               Obj (("depth", Int r.A.depth) :: cats r.A.cycles))
+               J.Obj (("depth", J.Int r.A.depth) :: cats r.A.cycles))
              s.A.by_layer) );
       ( "balancers",
-        Arr
+        J.Arr
           (List.map
              (fun (r : A.row) ->
-               Obj
-                 (("depth", Int r.A.depth)
-                 :: ("balancer", Int r.A.balancer)
+               J.Obj
+                 (("depth", J.Int r.A.depth)
+                 :: ("balancer", J.Int r.A.balancer)
                  :: cats r.A.cycles))
              s.A.rows) );
     ]
-
-let write_json ~file j =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (json_to_string j);
-      output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
 (* Meta: the per-run provenance + cost probe (docs/BENCHDB.md)         *)
@@ -307,24 +245,24 @@ module Meta = struct
     }
 
   let json m =
-    Obj
+    J.Obj
       [
-        ("experiment", Str m.experiment);
-        ("seed", Int m.seed);
-        ("date", Str m.date);
-        ("commit", Str m.commit);
-        ("dirty", Bool m.dirty);
-        ("toolchain", Str m.toolchain);
-        ("events", Int m.events);
-        ("reads", Int m.reads);
-        ("writes", Int m.writes);
-        ("rmws", Int m.rmws);
-        ("cpu_s", Float m.cpu_s);
-        ("minor_words", Float m.minor_words);
-        ("major_words", Float m.major_words);
-        ("major_collections", Int m.major_collections);
-        ("events_per_sec", Float m.events_per_sec);
-        ("minor_words_per_event", Float m.minor_words_per_event);
+        ("experiment", J.Str m.experiment);
+        ("seed", J.Int m.seed);
+        ("date", J.Str m.date);
+        ("commit", J.Str m.commit);
+        ("dirty", J.Bool m.dirty);
+        ("toolchain", J.Str m.toolchain);
+        ("events", J.Int m.events);
+        ("reads", J.Int m.reads);
+        ("writes", J.Int m.writes);
+        ("rmws", J.Int m.rmws);
+        ("cpu_s", J.Float m.cpu_s);
+        ("minor_words", J.Float m.minor_words);
+        ("major_words", J.Float m.major_words);
+        ("major_collections", J.Int m.major_collections);
+        ("events_per_sec", J.Float m.events_per_sec);
+        ("minor_words_per_event", J.Float m.minor_words_per_event);
       ]
 
   let host_line m =

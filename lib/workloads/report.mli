@@ -1,4 +1,4 @@
-(** Plain-text table formatting for the benchmark harness. *)
+(** Plain-text tables and JSON fields for the benchmark reports. *)
 
 val table :
   title:string ->
@@ -21,28 +21,13 @@ val float2 : float -> string
 val percent : float -> string
 val int_ : int -> string
 
-(** {2 JSON emission}
-
-    A minimal hand-rolled emitter (the image carries no JSON library)
-    for the benchmark harness's [--json] output. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float  (** non-finite values render as [null] *)
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val json_to_string : json -> string
-val opt : ('a -> json) -> 'a option -> json
-val write_json : file:string -> json -> unit
-(** Writes [j] followed by a newline, overwriting [file]. *)
+val stats_fields : Sim.stats -> (string * Etrace.Json.value) list
+(** A run's engine-level counters (reads, writes, rmws, events, end
+    clock, crashes, fault defers, queue wait) as JSON point fields. *)
 
 (** {2 Trace-derived reporting} *)
 
-val histogram_json : Etrace.Histogram.summary -> json
+val histogram_json : Etrace.Histogram.summary -> Etrace.Json.value
 
 val attribution_table : title:string -> Etrace.Attribution.summary -> string
 (** The flamegraph-style cycle-attribution table: one row per tree
@@ -50,7 +35,7 @@ val attribution_table : title:string -> Etrace.Attribution.summary -> string
     one column per {!Etrace.Attribution.category}, cells as shares of
     total simulated cycles. *)
 
-val attribution_json : Etrace.Attribution.summary -> json
+val attribution_json : Etrace.Attribution.summary -> Etrace.Json.value
 
 (** {2 Meta: the per-run provenance + cost probe}
 
@@ -87,6 +72,6 @@ module Meta : sig
 
   val start : unit -> probe
   val stop : probe -> experiment:string -> seed:int -> t
-  val json : t -> json
+  val json : t -> Etrace.Json.value
   val host_line : t -> string
 end

@@ -93,3 +93,17 @@ let run ?(seed = 1) ?(total = 2560) ~procs
 
 let sweep ?seed ?total ~proc_counts make =
   List.map (fun procs -> run ?seed ?total ~procs make) proc_counts
+
+(* One response-time point of BENCH_fig10.json. *)
+let point_json ~method_name p =
+  let module J = Etrace.Json in
+  J.Obj
+    [
+      ("kind", J.Str "response_time");
+      ("method", J.Str method_name);
+      ("procs", J.Int p.procs);
+      ("elapsed", J.Int p.elapsed);
+      ("normalized", J.Float p.normalized);
+      ("consumed", J.Int p.consumed);
+      ("response_time", Report.histogram_json p.rt);
+    ]

@@ -26,3 +26,7 @@ val sweep :
   proc_counts:int list ->
   (procs:int -> int Pool_obj.pool) ->
   point list
+
+val point_json : method_name:string -> point -> Etrace.Json.value
+(** One ["kind": "response_time"] point of the [BENCH_fig10.json]
+    report. *)

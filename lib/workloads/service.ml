@@ -208,6 +208,39 @@ let format_point p =
     p.steal_probed p.starved p.residue
     p.conservation.Analysis.Conservation.detail
 
+(* One BENCH_service.json point. *)
+let point_json p =
+  let module J = Etrace.Json in
+  J.Obj
+    ([
+       ("regime", J.Str p.regime_name);
+       ("regime_detail", J.Str p.regime);
+       ("shards", J.Int p.shards);
+       ("steal_probes", J.Int p.steal_probes);
+       ("policy", J.Str p.policy);
+       ("procs", J.Int p.procs);
+       ("width", J.Int p.width);
+       ("sessions", J.Int p.sessions);
+       ("requests", J.Int p.requests);
+       ("completed", J.Int p.completed);
+       ("starved", J.Int p.starved);
+       ("throughput_per_m", J.Int p.throughput_per_m);
+       ("sojourn", Report.histogram_json p.sojourn);
+       ("steal_empty_homes", J.Int p.steal_empty_homes);
+       ("steal_probed", J.Int p.steal_probed);
+       ("steal_hits", J.Int p.steal_hits);
+       ("residue", J.Int p.residue);
+       ("residue_by_shard", J.Arr (List.map (fun r -> J.Int r) p.residue_by_shard));
+       ("conservation_ok", J.Bool p.conservation.Analysis.Conservation.ok);
+       ("conservation", J.Str p.conservation.Analysis.Conservation.detail);
+       ( "conservation_by_shard_ok",
+         J.Bool
+           (List.for_all
+              (fun (r : Analysis.Conservation.report) -> r.Analysis.Conservation.ok)
+              p.conservation_by_shard) );
+     ]
+    @ Report.stats_fields p.mem)
+
 let default_regimes ~mean_gap =
   [
     Arrivals.Poisson { mean_gap };

@@ -60,6 +60,9 @@ val format_point : point -> string
 (** Stable one-line rendering (byte-compared by the determinism
     test). *)
 
+val point_json : point -> Etrace.Json.value
+(** One point of the [BENCH_service.json] report. *)
+
 val default_regimes : mean_gap:int -> Arrivals.regime list
 (** Poisson, bursty (32 @ x8) and diurnal (80%%, period 100k). *)
 

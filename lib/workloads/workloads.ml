@@ -20,9 +20,11 @@
     - {!Methods} — constructors for every compared method with the
       paper's parameters, plus the named method registries;
     - {!Pool_obj} — first-class pool/counter plumbing;
-    - {!Report} — plain-text tables and JSON emission;
+    - {!Report} — plain-text tables, JSON fields and the meta probe;
     - {!Traced} — running any of the above under tracing sinks
-      (cycle attribution, Chrome/Perfetto export). *)
+      (cycle attribution, Chrome/Perfetto export);
+    - {!Experiment} — the registry of named experiments behind
+      [etrees_run bench]. *)
 
 module Pool_obj = Pool_obj
 module Methods = Methods
@@ -39,3 +41,4 @@ module Load_sweep = Load_sweep
 module Adapt_sweep = Adapt_sweep
 module Report = Report
 module Traced = Traced
+module Experiment = Experiment

@@ -11,9 +11,9 @@
      every static schedule's latency at the lowest load point.
 
    The points are generated in-process at a reduced scale (the same
-   sweep code the bench harness calls), serialized with the harness's
-   field names through Report.write_json, re-read with the hand-rolled
-   Etrace.Json parser, and the claims are evaluated on the re-parsed
+   sweep code the experiment registry calls), serialized with the
+   registry's point builders through Etrace.Json.to_file, re-read with
+   Etrace.Json.parse_file, and the claims are evaluated on the re-parsed
    values — the same path CI consumers of BENCH_adapt.json take. *)
 
 module W = Workloads
@@ -28,11 +28,11 @@ let horizon = 20_000
 
 let write_and_parse_report ?meta ~experiment points =
   let file = Filename.temp_file ("bench_" ^ experiment) ".json" in
-  R.write_json ~file
-    (R.Obj
-       ([ ("experiment", R.Str experiment) ]
+  J.to_file ~file
+    (J.Obj
+       ([ ("experiment", J.Str experiment) ]
        @ (match meta with Some m -> [ ("meta", m) ] | None -> [])
-       @ [ ("points", R.Arr points) ]));
+       @ [ ("points", J.Arr points) ]));
   let v =
     match J.parse_file file with
     | Ok v -> v
@@ -57,15 +57,9 @@ let field_str p name = Option.get (Option.bind (J.member name p) J.to_str)
 
 let test_fig7_shape () =
   let point make =
-    let p = W.Produce_consume.run ~seed:3 ~horizon ~workload:0 ~procs make in
-    R.Obj
-      [
-        ("method", R.Str (make ~procs).W.Pool_obj.name);
-        ("workload", R.Int 0);
-        ("procs", R.Int p.W.Produce_consume.procs);
-        ("throughput_per_m", R.Int p.W.Produce_consume.throughput_per_m);
-        ("latency", R.Float p.W.Produce_consume.latency);
-      ]
+    W.Produce_consume.point_json ~method_name:(make ~procs).W.Pool_obj.name
+      ~workload:0
+      (W.Produce_consume.run ~seed:3 ~horizon ~workload:0 ~procs make)
   in
   let points =
     write_and_parse ~experiment:"fig7"
@@ -104,21 +98,9 @@ let test_adapt_shape () =
     W.Adapt_sweep.sweep ~seed:3 ~horizon ~workloads:[ 0; 16_000 ] ~procs specs
   in
   let flat = List.concat series in
-  (* Serialize with the bench harness's field names... *)
+  (* Serialize with the registry's point builder... *)
   let points =
-    write_and_parse ~experiment:"adapt"
-      (List.map
-         (fun (p : W.Adapt_sweep.point) ->
-           R.Obj
-             [
-               ("method", R.Str p.method_name);
-               ("reactive", R.Bool p.reactive);
-               ("workload", R.Int p.workload);
-               ("procs", R.Int p.procs);
-               ("throughput_per_m", R.Int p.throughput_per_m);
-               ("latency", R.Float p.latency);
-             ])
-         flat)
+    write_and_parse ~experiment:"adapt" (List.map W.Adapt_sweep.point_json flat)
   in
   check_int "every sweep point round-trips" (List.length flat)
     (List.length points);
@@ -157,21 +139,10 @@ let test_service_shape () =
   (* The same operating point the bench harness sweeps, at test scale:
      near saturation, one shard collapses while eight keep up. *)
   let point shards =
-    let p =
-      W.Service.run ~seed:3 ~shards ~sessions:4_000
-        ~regime:(W.Arrivals.Poisson { mean_gap = 800 })
-        ()
-    in
-    R.Obj
-      [
-        ("regime", R.Str p.W.Service.regime_name);
-        ("shards", R.Int p.W.Service.shards);
-        ("throughput_per_m", R.Int p.W.Service.throughput_per_m);
-        ("sojourn", R.histogram_json p.W.Service.sojourn);
-        ("steal_hits", R.Int p.W.Service.steal_hits);
-        ( "conservation_ok",
-          R.Bool p.W.Service.conservation.Analysis.Conservation.ok );
-      ]
+    W.Service.point_json
+      (W.Service.run ~seed:3 ~shards ~sessions:4_000
+         ~regime:(W.Arrivals.Poisson { mean_gap = 800 })
+         ())
   in
   let points = write_and_parse ~experiment:"service" [ point 1; point 8 ] in
   check_int "two points" 2 (List.length points);
@@ -205,8 +176,8 @@ let test_service_shape () =
 (* Meta blocks: the BENCH_<exp>.json provenance/cost header            *)
 (* ------------------------------------------------------------------ *)
 
-(* The exact path bench/main.ml takes: a Report.Meta probe around the
-   workload, its json block embedded in the report, the file re-read
+(* The exact path `etrees_run bench` takes: a Report.Meta probe around
+   the workload, its json block embedded in the report, the file re-read
    with Etrace.Json and held against the benchdb schema — the contract
    `etrees_run perf append` enforces before a row enters the DB. *)
 let meta_shape ~experiment ~reparsed meta_value =
@@ -236,7 +207,7 @@ let meta_shape ~experiment ~reparsed meta_value =
   check_bool "ops split into reads/writes/rmws" true
     (int_f "reads" > 0 && int_f "writes" > 0 && int_f "rmws" >= 0);
   (* Derived columns are consistent with their inputs after the float
-     round trip (write_json prints %.6g). *)
+     round trip (the printer writes %.6g). *)
   let close a b = Float.abs (a -. b) <= 0.01 *. Float.abs b +. 1e-6 in
   check_bool "minor_words_per_event = minor_words / events" true
     (close (num_f "minor_words_per_event")
@@ -258,16 +229,7 @@ let test_chaos_meta_shape () =
       (fun ~procs -> W.Methods.etree_pool ~procs ())
   in
   let meta = R.Meta.json (R.Meta.stop probe ~experiment:"chaos" ~seed:3) in
-  let point =
-    R.Obj
-      [
-        ("method", R.Str p.W.Chaos.method_name);
-        ("procs", R.Int p.W.Chaos.procs);
-        ("throughput_per_m", R.Int p.W.Chaos.throughput_per_m);
-        ( "conservation_ok",
-          R.Bool p.W.Chaos.conservation.Analysis.Conservation.ok );
-      ]
-  in
+  let point = W.Chaos.point_json ~level:0 ~label:"none" p in
   let reparsed = write_and_parse_report ~meta ~experiment:"chaos" [ point ] in
   check_bool "fault-free chaos point conserves tokens" true
     p.W.Chaos.conservation.Analysis.Conservation.ok;
@@ -282,17 +244,7 @@ let test_adapt_meta_shape () =
       specs
   in
   let meta = R.Meta.json (R.Meta.stop probe ~experiment:"adapt" ~seed:3) in
-  let points =
-    List.map
-      (fun (p : W.Adapt_sweep.point) ->
-        R.Obj
-          [
-            ("method", R.Str p.method_name);
-            ("workload", R.Int p.workload);
-            ("throughput_per_m", R.Int p.throughput_per_m);
-          ])
-      (List.concat series)
-  in
+  let points = List.map W.Adapt_sweep.point_json (List.concat series) in
   let reparsed = write_and_parse_report ~meta ~experiment:"adapt" points in
   meta_shape ~experiment:"adapt" ~reparsed
     (Option.get (J.member "meta" reparsed))

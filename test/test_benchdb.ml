@@ -33,21 +33,21 @@ let meta ?(commit = "abc1234") ?(events = 1_000_000) ?(reads = 400_000)
   J.Obj
     [
       ("experiment", J.Str "fig7");
-      ("seed", J.Num 1.0);
+      ("seed", J.Int 1);
       ("date", J.Str "2026-08-08");
       ("commit", J.Str commit);
       ("dirty", J.Bool false);
       ("toolchain", J.Str "ocaml-5.1.1/64-bit");
-      ("events", J.Num (float_of_int events));
-      ("reads", J.Num (float_of_int reads));
-      ("writes", J.Num (float_of_int writes));
-      ("rmws", J.Num (float_of_int rmws));
-      ("cpu_s", J.Num 0.4);
-      ("minor_words", J.Num 6.0e7);
-      ("major_words", J.Num 5.0e6);
-      ("major_collections", J.Num 4.0);
-      ("events_per_sec", J.Num events_per_sec);
-      ("minor_words_per_event", J.Num minor_words_per_event);
+      ("events", J.Int events);
+      ("reads", J.Int reads);
+      ("writes", J.Int writes);
+      ("rmws", J.Int rmws);
+      ("cpu_s", J.Float 0.4);
+      ("minor_words", J.Float 6.0e7);
+      ("major_words", J.Float 5.0e6);
+      ("major_collections", J.Int 4);
+      ("events_per_sec", J.Float events_per_sec);
+      ("minor_words_per_event", J.Float minor_words_per_event);
     ]
 
 let run ?(reference = false) ?(points = 16) ?commit ?events ?events_per_sec
@@ -107,6 +107,31 @@ let test_roundtrip () =
       check_bool "error names the offending line" true
         (String.contains e ':' && contains ~sub:"4" e)
   | Ok _ -> Alcotest.fail "malformed row accepted")
+
+(* The codec is a fixed point on the committed history: every
+   bench/db row re-prints byte-identically after a parse. *)
+let test_committed_rows_reprint () =
+  let dir = Filename.concat Filename.parent_dir_name "bench/db" in
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".jsonl")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check_bool "committed database found" true (files <> []);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      List.iteri
+        (fun i line ->
+          if line <> "" then
+            match J.parse line with
+            | Ok v ->
+                check_string
+                  (Printf.sprintf "%s:%d re-prints" path (i + 1))
+                  line (J.to_string v)
+            | Error e -> Alcotest.failf "%s:%d: %s" path (i + 1) e)
+        (In_channel.with_open_bin path In_channel.input_lines))
+    files
 
 (* ------------------------------------------------------------------ *)
 (* The regression gate                                                 *)
@@ -248,8 +273,12 @@ let () =
   Alcotest.run "benchdb"
     [
       ( "db",
-        [ Alcotest.test_case "JSONL append/load round trip" `Quick
-            test_roundtrip ] );
+        [
+          Alcotest.test_case "JSONL append/load round trip" `Quick
+            test_roundtrip;
+          Alcotest.test_case "committed rows re-print byte-identically"
+            `Quick test_committed_rows_reprint;
+        ] );
       ( "gate",
         [
           Alcotest.test_case "verdicts on synthetic regressions" `Quick

@@ -220,6 +220,82 @@ let test_json_parser () =
       check_bool "parse error surfaces" true
         (match T.Json.parse "[1," with Error _ -> true | Ok _ -> false)
 
+(* The codec's RFC 8259 edges: surrogate pairs combine, lone
+   surrogates and non-RFC number forms are parse errors (never
+   exceptions), and literals keep their integer/float split. *)
+let test_json_rfc () =
+  let module J = T.Json in
+  let rejects input =
+    check_bool (Printf.sprintf "%s is a parse error" input) true
+      (match J.parse input with Error _ -> true | Ok _ -> false)
+  in
+  let parses input expected =
+    check_string
+      (Printf.sprintf "%s parses" input)
+      (J.to_string expected)
+      (match J.parse input with
+      | Ok v -> J.to_string v
+      | Error e -> Alcotest.failf "%s: %s" input e)
+  in
+  List.iter rejects
+    [
+      {|"\ud800"|}; {|"\udc00"|}; {|"\ud800x"|}; {|"\ud800\u0041"|};
+      "+1"; ".5"; "1."; "01"; "-"; "1e"; "1e+"; "-01"; {|"\u12_3"|};
+      {|"\u+123"|};
+    ];
+  parses {|"\ud83d\ude00"|} (J.Str "\xF0\x9F\x98\x80");
+  parses {|"\u00e9\u0041"|} (J.Str "\xC3\xA9A");
+  parses "[0, -0, 1, -12, 1.5, 1e3, 2E-2, 0.25e+1]"
+    (J.Arr
+       [
+         J.Int 0; J.Float (-0.0); J.Int 1; J.Int (-12); J.Float 1.5;
+         J.Float 1000.0; J.Float 0.02; J.Float 2.5;
+       ]);
+  check_bool "integer literals stay Int" true (J.parse "42" = Ok (J.Int 42));
+  check_bool "fractions are Float" true (J.parse "42.0" = Ok (J.Float 42.0));
+  check_bool "ints too large for OCaml fall back to Float" true
+    (match J.parse "123456789012345678901234567890" with
+    | Ok (J.Float _) -> true
+    | _ -> false)
+
+let json_gen =
+  let open QCheck.Gen in
+  let module J = T.Json in
+  let str = string_size ~gen:char (0 -- 8) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun i -> J.Int i) int;
+               map (fun f -> J.Float f) float;
+               map (fun s -> J.Str s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.Arr l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> J.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 4)))) );
+             ])
+
+(* Printing is a fixed point of parse: whatever the printer writes
+   parses back to a value that prints identically. *)
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"to_string (parse (to_string v)) = to_string v"
+    (QCheck.make ~print:T.Json.to_string json_gen)
+    (fun v ->
+      let s = T.Json.to_string v in
+      match T.Json.parse s with
+      | Ok v' -> T.Json.to_string v' = s
+      | Error e -> QCheck.Test.fail_reportf "%s does not parse: %s" s e)
+
 (* ------------------------------------------------------------------ *)
 (* Cycle attribution: the books balance                                *)
 (* ------------------------------------------------------------------ *)
@@ -411,6 +487,12 @@ let () =
           Alcotest.test_case "golden fixture" `Quick test_chrome_golden;
           Alcotest.test_case "validator" `Quick test_chrome_validates;
           Alcotest.test_case "json parser" `Quick test_json_parser;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "RFC 8259 numbers and surrogates" `Quick
+            test_json_rfc;
+          qcheck prop_json_roundtrip;
         ] );
       ( "attribution",
         [
