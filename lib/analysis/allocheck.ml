@@ -201,8 +201,10 @@ let is_float_ty ty =
   | Types.Tconstr (p, _, _) -> Path.same p Predef.path_float
   | _ -> false
 
-(* Boxed-number results: every Int64/Int32/Nativeint operation returns
-   a fresh 3-word box — the dominant allocation inside Splitmix. *)
+(* Boxed-number results: every Int64/Int32/Nativeint operation is
+   counted as a fresh 3-word box.  The native compiler unboxes results
+   that do not escape (Splitmix's inlined draw allocates nothing), so
+   for such code the count is an over-approximation. *)
 let is_boxed_num_ty ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) ->

@@ -6,11 +6,22 @@
    each simulated processor (or native domain) owns an independent
    stream, so drawing numbers never synchronizes between processors. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: an [int64]
+   record field would be a pointer to a boxed [int64], reallocated on
+   every draw.  Reading and writing it through [get_int64_le] /
+   [set_int64_le] keeps the arithmetic in registers, so [int], [bool]
+   and [bernoulli] allocate nothing. *)
+type t = Bytes.t
+
+let get t = Bytes.get_int64_le t 0
+let set t z = Bytes.set_int64_le t 0 z
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set t seed;
+  t
 
 let of_int seed = create (Int64.of_int seed)
 
@@ -18,7 +29,7 @@ let of_int seed = create (Int64.of_int seed)
    behind stream derivation ([split]), the fault planner's pure hashing
    and the shard frontend's session→shard hash — shared here so the
    three cannot drift apart. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
   Int64.logxor z (Int64.shift_right_logical z 33)
@@ -27,7 +38,7 @@ let mix64 z =
    index through the output function keeps streams decorrelated even for
    consecutive indices. *)
 let split t ~index =
-  create (mix64 (Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (index + 1)))))
+  create (mix64 (Int64.add (get t) (Int64.mul golden_gamma (Int64.of_int (index + 1)))))
 
 let stream ~seed ~index = split (of_int seed) ~index
 
@@ -45,22 +56,26 @@ let hash3 a b c =
   in
   Int64.to_int z land max_int
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* The draw itself, inlined into every consumer so its result stays
+   unboxed. *)
+let[@inline] next t =
+  let z = Int64.add (get t) golden_gamma in
+  set t z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t = next t
 
 (* Uniform in [0, bound).  Rejection sampling over the top 62 bits avoids
    modulo bias beyond one part in 2^62 / bound, which is negligible for
    the bounds used here (all well below 2^30). *)
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
-  let x = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
+  let x = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   x mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 (* Bernoulli trial with probability [num]/[den]. *)
 let bernoulli t ~num ~den =

@@ -6,7 +6,8 @@
     per-processor streams. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: {!int}, {!bool} and
+    {!bernoulli} allocate nothing. *)
 
 val create : int64 -> t
 (** [create seed] makes a generator from a 64-bit seed. *)

@@ -1,150 +1,26 @@
 (* The simulator's implementation of [Engine.S].
 
-   Every primitive maps to one scheduler effect, charged according to the
-   run's {!Memory.config}.  All of these must be called from inside a
-   processor body passed to [Sim.run]; calling them elsewhere raises.
-
-   Each operation also maintains the analysis stamps of {!Memory}: a
-   [clean] check (is the cell's value still the engine-installed one?)
-   runs before the operation's own side effect, committed mutations
-   refresh the cell's shadow and last-writer epoch, and an installed
-   {!Memory.tracer} observes every completion.  The stamps cost a few
-   host-level stores and zero simulated cycles; the tracer is [None]
-   outside [Analysis.Race_detector] runs. *)
+   Every primitive performs one scheduler effect, and the effect is the
+   operation itself ([Scheduler.Get], [Set], [Exchange], [Cas], [Faa] or
+   [Delay]).  The scheduler's handler charges it according to the run's
+   {!Memory.config} and parks the processor in its event slot;
+   [Scheduler.apply] runs the operation when its event fires, keeping
+   the analysis stamps of {!Memory} up to date.  All of these must be
+   called from inside a processor body passed to [Sim.run]; calling a
+   memory operation elsewhere raises [Failure]. *)
 
 type 'a cell = 'a Memory.cell
 
 let cell = Memory.cell
 
-let trace_read c ~pid ~issued ~serialized =
-  match !Memory.tracer with
-  | Some tr ->
-      let t = Scheduler.the_sched () in
-      tr.Memory.on_read c.Memory.loc ~pid ~issued ~fired:t.clock ~serialized
-        ~clean:(Memory.shadow_clean c)
-  | None -> ()
-
-let trace_commit c ~pid ~clean =
-  match !Memory.tracer with
-  | Some tr ->
-      let t = Scheduler.the_sched () in
-      tr.Memory.on_commit c.Memory.loc ~pid ~time:t.clock ~clean
-  | None -> ()
-
-let get c =
-  let t = Scheduler.the_sched () in
-  t.op_reads <- t.op_reads + 1;
-  let pid = t.current and issued = t.clock in
-  if t.config.reads_serialize then
-    Effect.perform
-      (Scheduler.Serialized
-         {
-           loc = c.Memory.loc;
-           latency = t.config.read_latency;
-           kind = Etrace.Event.Read;
-           run =
-             (fun () ->
-               trace_read c ~pid ~issued ~serialized:true;
-               c.Memory.v);
-         })
-  else
-    Effect.perform
-      (Scheduler.Immediate
-         {
-           loc = Some c.Memory.loc;
-           latency = t.config.read_latency;
-           run =
-             (fun () ->
-               trace_read c ~pid ~issued ~serialized:false;
-               c.Memory.v);
-         })
-
-let set c x =
-  let t = Scheduler.the_sched () in
-  t.op_writes <- t.op_writes + 1;
-  let pid = t.current and seq = t.seq in
-  Effect.perform
-    (Scheduler.Serialized
-       {
-         loc = c.Memory.loc;
-         latency = t.config.write_latency;
-         kind = Etrace.Event.Write;
-         run =
-           (fun () ->
-             let clean = Memory.shadow_clean c in
-             c.Memory.v <- x;
-             Memory.commit_stamp c ~pid ~time:(Scheduler.the_sched ()).clock
-               ~seq;
-             trace_commit c ~pid ~clean);
-       })
-
-let exchange c x =
-  let t = Scheduler.the_sched () in
-  t.op_rmws <- t.op_rmws + 1;
-  let pid = t.current and seq = t.seq in
-  Effect.perform
-    (Scheduler.Serialized
-       {
-         loc = c.Memory.loc;
-         latency = t.config.rmw_latency;
-         kind = Etrace.Event.Rmw;
-         run =
-           (fun () ->
-             let clean = Memory.shadow_clean c in
-             let old = c.Memory.v in
-             c.Memory.v <- x;
-             Memory.commit_stamp c ~pid ~time:(Scheduler.the_sched ()).clock
-               ~seq;
-             trace_commit c ~pid ~clean;
-             old);
-       })
+let get c = Scheduler.perform (Scheduler.Get c)
+let set c x = Scheduler.perform (Scheduler.Set (c, x))
+let exchange c x = Scheduler.perform (Scheduler.Exchange (c, x))
 
 let compare_and_set c expected desired =
-  let t = Scheduler.the_sched () in
-  t.op_rmws <- t.op_rmws + 1;
-  let pid = t.current and seq = t.seq in
-  Effect.perform
-    (Scheduler.Serialized
-       {
-         loc = c.Memory.loc;
-         latency = t.config.rmw_latency;
-         kind = Etrace.Event.Rmw;
-         run =
-           (fun () ->
-             let clean = Memory.shadow_clean c in
-             let won =
-               if c.Memory.v == expected then begin
-                 c.Memory.v <- desired;
-                 Memory.commit_stamp c ~pid
-                   ~time:(Scheduler.the_sched ()).clock ~seq;
-                 true
-               end
-               else false
-             in
-             trace_commit c ~pid ~clean;
-             won);
-       })
+  Scheduler.perform (Scheduler.Cas (c, expected, desired))
 
-let fetch_and_add c k =
-  let t = Scheduler.the_sched () in
-  t.op_rmws <- t.op_rmws + 1;
-  let pid = t.current and seq = t.seq in
-  Effect.perform
-    (Scheduler.Serialized
-       {
-         loc = c.Memory.loc;
-         latency = t.config.rmw_latency;
-         kind = Etrace.Event.Rmw;
-         run =
-           (fun () ->
-             let clean = Memory.shadow_clean c in
-             let old = c.Memory.v in
-             c.Memory.v <- old + k;
-             Memory.commit_stamp c ~pid ~time:(Scheduler.the_sched ()).clock
-               ~seq;
-             trace_commit c ~pid ~clean;
-             old);
-       })
+let fetch_and_add c k = Scheduler.perform (Scheduler.Faa (c, k))
 
 let pid () = (Scheduler.the_sched ()).current
 let nprocs () = (Scheduler.the_sched ()).nprocs

@@ -12,6 +12,15 @@
    local-spinning locks such as MCS.  The algorithms in this repository
    only spin on locations they own or on such cached reads.
 
+   The typed-op contract: the engine's five operations are the
+   scheduler's effects [Get], [Set], [Exchange], [Cas] and [Faa].  Their
+   cost comes from {!config} alone ([read_latency] for [Get],
+   [write_latency] for [Set], [rmw_latency] for the three RMWs; [Get]
+   serializes only under [reads_serialize]).  A cell is read or mutated
+   only by [Scheduler.apply], when the operation's event fires, and
+   each simulated processor has at most one such operation in flight
+   (its one event slot).
+
    Analysis instrumentation (etrees.analysis, dynamic prong): each
    location additionally carries
 

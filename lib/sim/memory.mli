@@ -8,6 +8,11 @@
     serialize (they model cached / read-shared lines, the assumption
     behind local-spinning locks).
 
+    Cells are read and mutated only by [Scheduler.apply], when an
+    engine operation's event fires; each simulated processor has at
+    most one operation in flight.  An operation's cost comes from the
+    run's {!config} alone.
+
     Each location also carries analysis stamps — a last-writer epoch
     [(time, pid, seq)], the most recent serialized service window, and
     a shadow of the engine-installed value — kept up to date

@@ -8,42 +8,47 @@
     the seed.  An operation's side effect runs when its event fires, so
     operations linearize in completion-time order.
 
+    A processor is suspended on at most one effect at a time, so each
+    owns exactly one reusable event {!slot}, allocated once per run;
+    the heap's payload is the slot, and firing or unwinding an event
+    allocates no scheduler bookkeeping.
+
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
 
 exception Aborted
 (** Raised inside a simulated processor cut off by [abort_after]. *)
 
+(** The typed-op contract: each engine operation is its own effect.
+    The handler derives the location, the latency (from the run's
+    {!Memory.config}) and the trace kind from the operation, and
+    {!apply} runs it when its event fires. *)
 type _ Effect.t +=
-  | Serialized : {
-      loc : Memory.loc;
-      latency : int;
-      kind : Etrace.Event.mem_kind;  (** rendered on the trace timeline *)
-      run : unit -> 'r;
-    }
-      -> 'r Effect.t
-        (** a write or RMW: queues behind [loc.busy_until] *)
-  | Immediate : {
-      loc : Memory.loc option;
-      latency : int;
-      run : unit -> 'r;
-    }
-      -> 'r Effect.t
-        (** a read: fixed latency, no serialization; [loc] identifies
-            the location for fault injection (None = pure pause) *)
+  | Get : 'a Memory.cell -> 'a Effect.t
+        (** an atomic read: fixed latency and no queueing, unless the
+            config serializes reads *)
+  | Set : 'a Memory.cell * 'a -> unit Effect.t
+        (** a write: queues behind [loc.busy_until] *)
+  | Exchange : 'a Memory.cell * 'a -> 'a Effect.t  (** an RMW, queues *)
+  | Cas : 'a Memory.cell * 'a * 'a -> bool Effect.t
+        (** an RMW (physical equality), queues *)
+  | Faa : int Memory.cell * int -> int Effect.t  (** an RMW, queues *)
   | Delay : int -> unit Effect.t  (** local computation / spin-waiting *)
 
-type event = { pid : int; fire : unit -> unit; abort : unit -> unit }
-(** Every event belongs to one simulated processor — [pid] is consulted
-    by the fault injector before the event fires. *)
+val perform : 'a Effect.t -> 'a
+(** [Effect.perform], but raises [Failure] outside a run. *)
+
+type slot
+(** One processor's reusable event slot: its single pending event and
+    the trace fields of the operation in flight. *)
 
 (** {1 Controlled scheduling (etrees.check)}
 
     A {!controller} takes over every scheduling decision, turning the
     simulator into the substrate for a stateless model checker: each
-    processor's single pending event is parked per-pid instead of in
-    the time heap, local steps (proc starts, delays, pure pauses) fire
-    eagerly in pid order, and whenever every live processor is parked
+    processor's single pending event stays in its slot instead of in
+    the time heap, local steps (proc starts, delays) fire eagerly in
+    pid order, and whenever every live processor is parked
     on a shared-memory access the controller picks which one commits
     next.  Each decision commits exactly one access, so the chosen pid
     sequence fully determines the interleaving — runs are replayable
@@ -96,12 +101,12 @@ val no_injector : injector
 type t = {
   nprocs : int;
   config : Memory.config;
-  heap : event Event_heap.t;
+  body : int -> unit;  (** every processor runs [body pid] *)
+  heap : slot Event_heap.t;  (** unused under a controller *)
+  slots : slot array;  (** one per processor, indexed by pid *)
   rngs : Engine.Splitmix.t array;
   injector : injector option;
   controller : controller option;
-  pending : (int * event * access option) option array;
-      (** controller mode only: per-pid parked (time, event, access) *)
   mutable clock : int;
   mutable seq : int;
   mutable live : int;

@@ -1,11 +1,13 @@
 (* Direct property tests for Sim.Event_heap — the per-event hot-path
-   structure the @allocheck census certifies as zero-alloc beyond the
-   entry record.  The properties pin the behavioral contract that the
-   allocation-driven rewrite (top-level sifts, min_time/pop_min) must
-   preserve: exact (time, seq) ordering, duplicate-key insertion-order
-   tie-break, and agreement between the allocating [pop] and the
-   zero-alloc [min_time]/[pop_min] pair, each checked against a
-   sorted-list model under interleaved pushes and pops. *)
+   structure the @allocheck census certifies as allocation-free (keys
+   and payloads in parallel arrays, no entry record).  The properties
+   pin the behavioral contract that the allocation-driven design
+   (top-level hole sifts, min_time/pop_min) must preserve: exact
+   (time, seq) ordering, duplicate-key insertion-order tie-break, and
+   agreement between the allocating [pop] and the zero-alloc
+   [min_time]/[pop_min] pair, each checked against a sorted-list model
+   under interleaved pushes and pops.  A unit test pins the zero
+   allocation itself. *)
 
 module H = Sim.Event_heap
 
@@ -171,6 +173,25 @@ let test_grow_across_doubling () =
   done;
   Alcotest.(check bool) "drained" true (H.is_empty h)
 
+(* Steady state: a heap held at 256 entries, one pop and one push per
+   step, allocates no minor words at all (the arrays are already grown). *)
+let test_push_pop_no_alloc () =
+  let h = H.create () in
+  for i = 0 to 255 do
+    H.push h ~time:(i * 7) ~seq:i i
+  done;
+  let seq = ref 256 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    let t = H.min_time h in
+    let p = H.pop_min h in
+    incr seq;
+    H.push h ~time:(t + 1 + ((!seq * 7919) land 1023)) ~seq:!seq p
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 100k push+pop" 0. words;
+  check_int "size held" 256 (H.length h)
+
 let () =
   let qcheck = QCheck_alcotest.to_alcotest in
   Alcotest.run "event_heap"
@@ -189,5 +210,7 @@ let () =
             test_pop_min_then_empty;
           Alcotest.test_case "growth across doublings" `Quick
             test_grow_across_doubling;
+          Alcotest.test_case "steady-state push+pop allocates nothing"
+            `Quick test_push_pop_no_alloc;
         ] );
     ]
