@@ -1,13 +1,16 @@
 (* Direct property tests for Sim.Event_heap — the per-event hot-path
-   structure the @allocheck census certifies as allocation-free (keys
-   and payloads in parallel arrays, no entry record).  The properties
-   pin the behavioral contract that the allocation-driven design
-   (top-level hole sifts, min_time/pop_min) must preserve: exact
-   (time, seq) ordering, duplicate-key insertion-order tie-break, and
-   agreement between the allocating [pop] and the zero-alloc
-   [min_time]/[pop_min] pair, each checked against a sorted-list model
-   under interleaved pushes and pops.  A unit test pins the zero
-   allocation itself. *)
+   queue the @allocheck census certifies as allocation-free: a 4096-
+   instant time wheel of per-instant FIFO buckets in front of a binary
+   heap that takes far-future events, pushes below the wheel's base and
+   out-of-order seqs.  The properties pin the behavioral contract the
+   design must preserve: exact (time, seq) ordering, duplicate-key
+   insertion-order tie-break, and agreement between the allocating
+   [pop] and the zero-alloc [min_time]/[pop_min] pair, each checked
+   against a sorted-list model under interleaved pushes and pops.  The
+   wheel property drives keys across many wheel widths so that buckets
+   wrap and spill, and drains with a callback that pushes, as the
+   scheduler's abort path does.  A unit test pins the zero allocation
+   itself, on near keys and on keys that wrap the wheel. *)
 
 module H = Sim.Event_heap
 
@@ -135,6 +138,98 @@ let prop_pop_min_equiv =
         script;
       !ok && H.length h1 = H.length h2)
 
+(* The wheel covers 4096 instants from its base; everything else goes to
+   the fallback heap.  A script of [(kind, value, salt)] triples drives
+   the queue and a sorted-list model side by side:
+   - pushes land at the last popped time plus a delta that is a tiny
+     tie (0..3), near (< 5000), far (< 30000, beyond four wheel widths,
+     so buckets wrap and far keys spill), at the window's far edge
+     (4096 +- 40, so the first occupied bucket often lies circularly
+     behind the base's own bitmap word) or negative (below the last
+     popped time, hence below the wheel's base);
+   - one push in eight takes an unused odd seq below the counter, the
+     rare out-of-order seq that must not join its bucket's FIFO;
+   - pops alternate between [pop] and [min_time]/[pop_min];
+   - the script ends in [drain], whose callback pushes new events at,
+     just before or just after the key it is handed, for its first 32
+     calls. *)
+let prop_wheel_model =
+  QCheck.Test.make
+    ~name:"wheel: wrap, spill, ties, late pushes and drain agree with model"
+    ~count:300
+    QCheck.(
+      list_of_size
+        (Gen.int_range 50 600)
+        (triple (int_bound 99) (int_bound 29_999) (int_bound 7)))
+    (fun script ->
+      let h = H.create () in
+      let model = ref [] in
+      let insert e =
+        let rec go = function
+          | [] -> [ e ]
+          | x :: rest as l -> if key e < key x then e :: l else x :: go rest
+        and key (t, s, _) = (t, s) in
+        model := go !model
+      in
+      let used = Hashtbl.create 64 in
+      let counter = ref 0 and last = ref 0 and pushed = ref 0 in
+      let ok = ref true in
+      let push ~time ~seq =
+        Hashtbl.replace used seq ();
+        H.push h ~time ~seq !pushed;
+        insert (time, seq, !pushed);
+        incr pushed
+      in
+      (* Regular seqs are even and increasing; [fresh_seq k] for k > 0
+         tries the odd seq k steps below the counter instead. *)
+      let fresh_seq k =
+        counter := !counter + 2;
+        let late = !counter - 1 - (2 * k) in
+        if k = 0 || late < 0 || Hashtbl.mem used late then !counter
+        else late
+      in
+      let expect (time, seq, p) =
+        match !model with
+        | (t, s, q) :: rest when (t, s, q) = (time, seq, p) ->
+            model := rest;
+            last := time
+        | _ -> ok := false
+      in
+      List.iter
+        (fun (kind, v, salt) ->
+          if kind < 50 then begin
+            let delta =
+              if kind < 12 then v land 3
+              else if kind < 24 then v mod 5000
+              else if kind < 32 then v
+              else if kind < 40 then 4096 - 40 + (v mod 80)
+              else -(v mod 200)
+            in
+            let late = if salt = 0 then 1 + (v mod 3) else 0 in
+            push ~time:(!last + delta) ~seq:(fresh_seq late)
+          end
+          else if H.is_empty h then (if !model <> [] then ok := false)
+          else if v land 1 = 0 then begin
+            match H.pop h with
+            | Some e -> expect e
+            | None -> ok := false
+          end
+          else begin
+            let time = H.min_time h in
+            match !model with
+            | (_, seq, _) :: _ -> expect (time, seq, H.pop_min h)
+            | [] -> ok := false
+          end;
+          if H.length h <> List.length !model then ok := false)
+        script;
+      let calls = ref 0 in
+      H.drain h (fun time seq p ->
+          expect (time, seq, p);
+          incr calls;
+          if !calls <= 32 then
+            push ~time:(time + (seq mod 7) - 3) ~seq:(fresh_seq (seq land 1)));
+      !ok && !model = [] && H.is_empty h)
+
 (* ------------------------------------------------------------------ *)
 (* Unit edges                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -158,23 +253,43 @@ let test_pop_min_then_empty () =
     (H.pop h)
 
 let test_grow_across_doubling () =
-  (* Push past the initial capacity (64) and one doubling beyond. *)
-  let h = H.create () in
-  for i = 0 to 299 do
-    H.push h ~time:(299 - i) ~seq:i i
-  done;
-  check_int "length" 300 (H.length h);
-  let last = ref (-1) in
-  for _ = 0 to 299 do
-    let t = H.min_time h in
-    ignore (H.pop_min h);
-    Alcotest.(check bool) "nondecreasing" true (t >= !last);
-    last := t
-  done;
-  Alcotest.(check bool) "drained" true (H.is_empty h)
+  (* Push past the initial capacity (512) and one doubling beyond, in
+     each part: falling times all land below the first one, in the
+     fallback heap; rising times within one wheel width all land in the
+     wheel's node pool. *)
+  let n = 1500 in
+  List.iter
+    (fun time_of ->
+      let h = H.create () in
+      for i = 0 to n - 1 do
+        H.push h ~time:(time_of i) ~seq:i i
+      done;
+      check_int "length" n (H.length h);
+      let last = ref min_int in
+      for _ = 1 to n do
+        let t = H.min_time h in
+        ignore (H.pop_min h);
+        Alcotest.(check bool) "nondecreasing" true (t >= !last);
+        last := t
+      done;
+      Alcotest.(check bool) "drained" true (H.is_empty h))
+    [ (fun i -> n - i); (fun i -> 2 * i) ]
 
-(* Steady state: a heap held at 256 entries, one pop and one push per
-   step, allocates no minor words at all (the arrays are already grown). *)
+(* Hold [h] at its size for [steps] pop+push pairs, each new key at
+   the popped time plus [1 + (hash land spread)]. *)
+let churn h seq ~spread steps =
+  for _ = 1 to steps do
+    let t = H.min_time h in
+    let p = H.pop_min h in
+    incr seq;
+    H.push h ~time:(t + 1 + ((!seq * 7919) land spread)) ~seq:!seq p
+  done
+
+(* Steady state: a queue held at 256 entries, one pop and one push per
+   step, allocates no minor words at all once its arrays have grown —
+   both on near keys, which all stay in the wheel, and on keys up to
+   four wheel widths ahead, which wrap the wheel and spill into the
+   fallback heap. *)
 let test_push_pop_no_alloc () =
   let h = H.create () in
   for i = 0 to 255 do
@@ -182,14 +297,16 @@ let test_push_pop_no_alloc () =
   done;
   let seq = ref 256 in
   let before = Gc.minor_words () in
-  for _ = 1 to 100_000 do
-    let t = H.min_time h in
-    let p = H.pop_min h in
-    incr seq;
-    H.push h ~time:(t + 1 + ((!seq * 7919) land 1023)) ~seq:!seq p
-  done;
+  churn h seq ~spread:1023 100_000;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 100k push+pop" 0. words;
+  Alcotest.(check (float 0.)) "minor words over 100k near push+pop" 0. words;
+  check_int "size held" 256 (H.length h);
+  churn h seq ~spread:16383 20_000;
+  let before = Gc.minor_words () in
+  churn h seq ~spread:16383 100_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 100k wrapping push+pop" 0.
+    words;
   check_int "size held" 256 (H.length h)
 
 let () =
@@ -202,6 +319,7 @@ let () =
           qcheck prop_duplicate_keys;
           qcheck prop_interleaved_model;
           qcheck prop_pop_min_equiv;
+          qcheck prop_wheel_model;
         ] );
       ( "edges",
         [

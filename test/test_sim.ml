@@ -157,6 +157,45 @@ let test_splitmix_golden () =
   Alcotest.(check string) "streams bit-identical" expected
     (splitmix_golden_text ())
 
+(* Golden fire order: seeded programs that mix reads and fetch&adds on
+   four shared cells with delays drawn from [1, 50] and [1, 50000], so
+   completion times span many 4096-cycle windows of the event queue's
+   wheel and spill into its fallback heap.  Each processor records
+   [(pid, now)] after every step, so the text is the order in which the
+   simulator fired events and the clock at each.  The fixture was
+   printed by the plain binary heap the bucketed queue replaced; the
+   queue must reproduce it exactly. *)
+let fire_order_text () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (procs, steps, seed) ->
+      let cells = Array.init 4 (fun _ -> E.cell 0) in
+      Printf.bprintf b "procs %d seed %d\n" procs seed;
+      let stats =
+        Sim.run ~seed ~procs (fun pid ->
+            for _ = 1 to steps do
+              let c = cells.(E.random_int (Array.length cells)) in
+              (match E.random_int 4 with
+              | 0 -> ignore (E.get c)
+              | 1 -> ignore (E.fetch_and_add c 1)
+              | 2 -> E.delay (1 + E.random_int 50)
+              | _ -> E.delay (1 + E.random_int 50_000));
+              Printf.bprintf b "%d %d\n" pid (E.now ())
+            done)
+      in
+      Printf.bprintf b "end %d events %d\n" stats.Sim.end_clock
+        stats.Sim.events_fired)
+    [ (1, 300, 1); (2, 300, 7); (64, 30, 42) ];
+  Buffer.contents b
+
+let test_fire_order_golden () =
+  let expected =
+    In_channel.with_open_bin
+      (Filename.concat "fixtures" "fire_order_golden.txt")
+      In_channel.input_all
+  in
+  Alcotest.(check string) "fire order identical" expected (fire_order_text ())
+
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -455,6 +494,7 @@ let () =
         [
           Alcotest.test_case "basic ordering" `Quick test_heap_basic;
           QCheck_alcotest.to_alcotest prop_heap_sorted;
+          Alcotest.test_case "golden fire order" `Quick test_fire_order_golden;
         ] );
       ( "splitmix",
         [
